@@ -983,6 +983,7 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 		}
 		// Release any membership claims the dead worker holds.
 		released := false
+		retired := -1 // drain target whose aborted drain completes with this death
 		keep := queuedT[:0]
 		for _, t := range queuedT {
 			if t.target == w {
@@ -1012,11 +1013,19 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				// may be its source, target or destination. Abort: death
 				// re-execution supersedes whatever moved, and the store's
 				// epoch fence drops stale handoff remnants. A join target
-				// survives as a full (empty-handed) member; a drain target
-				// survives in limbo — compute-dead to its peers, data-alive,
-				// owning nothing — and idles until job end.
+				// survives as a full (empty-handed) member. A drain target
+				// already owns nothing (the plan re-homed its partitions) and
+				// its data is about to be re-executed elsewhere, so the drain
+				// completes here; it is told once the journal has the death.
 				if t.kind == "join" && t.target != w {
 					ws[t.target].state = wActive
+				}
+				if t.kind == "drain" && t.target != w {
+					retired = t.target
+					alive[retired] = false
+					ws[retired].alive = false
+					ws[retired].state = wDrained
+					res.WorkersDrained++
 				}
 				if t.claimed {
 					pendingMembership--
@@ -1096,6 +1105,13 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 			Dead: w, Homes: homes, Epoch: epoch,
 			Settled: append([]bool(nil), donePart...),
 		}.encode()})
+		if retired >= 0 {
+			ws[retired].cc.send(frame{typ: mDrained})
+		}
+		// An aborted transition leaves the queue head waiting, and fill
+		// dispatches nothing while transitions are queued: promote it now or
+		// the re-queued tasks never run.
+		startNextTransition()
 		fill()
 		tryAdvance()
 		maybeReduce()
@@ -1275,9 +1291,6 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				fail(fmt.Errorf("dist: reduce-done for unknown partition %d", m.Partition))
 				continue
 			}
-			if phase == phaseReduce && m.Attempt == reduceAttempt[m.Partition] {
-				reduceOutstanding--
-			}
 			if !donePart[m.Partition] {
 				pairs, err := kv.Unmarshal(m.Output)
 				if err != nil {
@@ -1292,6 +1305,14 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 				}
 				donePart[m.Partition] = true
 				donePartCount++
+				// Count the partition off at its first acceptance, not per
+				// report: after a coordinator restart the pre-crash wave and
+				// the resumed one both report under the same attempt, and
+				// counting both would finish the job with a partition still
+				// unreported.
+				if phase == phaseReduce {
+					reduceOutstanding--
+				}
 				settledResident[m.Partition] = m.RecordsIn
 				outputs[m.Partition] = pairs
 				res.OutputPairs += len(pairs)
@@ -1383,6 +1404,9 @@ func serve(ln net.Listener, o Options, led *ledger, hooks loopHooks) (*Result, e
 // for the journaled membership to rejoin. Loopback-only Options fields are
 // ignored.
 func Serve(addr string, o Options) (*Result, error) {
+	if err := checkCombiner(o.Job, RegistryResolver); err != nil {
+		return nil, err
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: coordinator listen: %w", err)

@@ -1,10 +1,18 @@
 // Package dist is the genuinely distributed Glasswing runtime: a
 // coordinator and N worker nodes connected over TCP, running the same
-// App/collector semantics as internal/core and internal/native but with a
-// real wire shuffle — intermediate kv runs stream partition-by-partition to
-// their destination workers *while* map execution continues, the paper's
-// stage-4 compute/communication overlap made real (§III-A stage 5 pushes
+// App/collector semantics as internal/core but with a real wire shuffle —
+// intermediate kv runs stream partition-by-partition to their destination
+// workers *while* map execution continues, the paper's stage-4
+// compute/communication overlap made real (§III-A stage 5 pushes
 // partitions to destination nodes; §III-B caches them there).
+//
+// Each worker runs internal/native's per-node engine, the paper's one
+// vertical pipeline per node repeated across nodes (§III): native.Collect
+// for the map kernel and collector, Chunk.Runs for partitioning, and
+// native.Reduce for the reduce merge, with spill files written and read
+// through the kv spill-file pair. This package adds the wire, the
+// destination-side shuffle store (staging, commit, epoch fences, handoff)
+// and the coordinator around it.
 //
 // The runtime comes in two deployments sharing every line of protocol code:
 //
@@ -43,10 +51,12 @@
 package dist
 
 import (
+	"fmt"
 	"time"
 
 	"glasswing/internal/core"
 	"glasswing/internal/kv"
+	"glasswing/internal/native"
 )
 
 // AppSpec identifies the job's application on the wire so multi-process
@@ -62,9 +72,9 @@ type AppSpec struct {
 // Job is the wire-level job description the coordinator broadcasts in
 // JobStart.
 type Job struct {
-	App        AppSpec
-	Partitions int // total reduce partitions across the cluster
-	Collector  core.CollectorKind
+	App         AppSpec
+	Partitions  int // total reduce partitions across the cluster
+	Collector   core.CollectorKind
 	UseCombiner bool
 	// Compress DEFLATEs each coalesced shuffle frame once on the wire.
 	// Runs themselves stay uncompressed at both ends — cheap to build, and
@@ -74,6 +84,23 @@ type Job struct {
 	Compress bool
 	// MaxAttempts bounds failed executions per task (0 = default 4).
 	MaxAttempts int
+}
+
+// checkCombiner rejects a combiner job the app or collector cannot run,
+// under the rule every real runtime shares (native.CheckCombiner), before
+// any node starts.
+func checkCombiner(j Job, resolve Resolver) error {
+	if !j.UseCombiner {
+		return nil
+	}
+	app, _, err := resolve(j.App)
+	if err != nil {
+		return err
+	}
+	if err := native.CheckCombiner(app, j.Collector, true); err != nil {
+		return fmt.Errorf("dist: %w", err)
+	}
+	return nil
 }
 
 func (j Job) withDefaults() Job {
@@ -227,4 +254,3 @@ const (
 	stageSchedAssign = "sched/assign"
 	stageSchedReduce = "sched/reduce"
 )
-

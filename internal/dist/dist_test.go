@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"glasswing/internal/apps"
 	"glasswing/internal/core"
 	"glasswing/internal/kv"
+	"glasswing/internal/native"
 	"glasswing/internal/obs"
 	"glasswing/internal/workload"
 )
@@ -24,11 +26,11 @@ func testResolver(app func() *core.App, prt func([]byte, int) int) Resolver {
 func wcOptions(workers int, tel *obs.Telemetry) (Options, map[string]uint64) {
 	data, want := apps.WCData(21, 96<<10, 1200)
 	return Options{
-		Job:       Job{App: AppSpec{Name: "WC"}, Partitions: 4, Collector: core.HashTable},
-		Workers:   workers,
-		Blocks:    SplitBlocks(data, 16<<10, 0),
-		Telemetry: tel,
-		NewApp:    testResolver(apps.WordCount, nil),
+		Job:        Job{App: AppSpec{Name: "WC"}, Partitions: 4, Collector: core.HashTable},
+		Workers:    workers,
+		Blocks:     SplitBlocks(data, 16<<10, 0),
+		Telemetry:  tel,
+		NewApp:     testResolver(apps.WordCount, nil),
 		KillWorker: -1,
 	}, want
 }
@@ -79,6 +81,42 @@ func TestLoopbackSingleWorker(t *testing.T) {
 	}
 	if sent, _, _, _, _, _ := netCounters(tel.Metrics); sent != 0 {
 		t.Fatalf("single worker sent %d records over the wire", sent)
+	}
+}
+
+// TestCombinerRule: dist applies native's combiner rule at job start — a
+// combiner needs App.Combine and the hash collector — instead of silently
+// running the job without one.
+func TestCombinerRule(t *testing.T) {
+	wcPool, _ := wcOptions(2, nil)
+	wcPool.Job.Collector = core.BufferPool
+	wcPool.Job.UseCombiner = true
+
+	data := apps.TSData(22, 200)
+	ts := Options{
+		Job:        Job{App: AppSpec{Name: "TS"}, Partitions: 2, Collector: core.HashTable, UseCombiner: true},
+		Workers:    2,
+		Blocks:     SplitBlocks(data, 8<<10, int(workload.TeraRecordSize)),
+		NewApp:     testResolver(apps.TeraSort, apps.TeraPartitioner(data, 4)),
+		KillWorker: -1,
+	}
+	for name, o := range map[string]Options{"pool collector": wcPool, "app without Combine": ts} {
+		if _, err := RunLoopback(o); !errors.Is(err, native.ErrCombiner) {
+			t.Errorf("%s: RunLoopback error %v, want %v", name, err, native.ErrCombiner)
+		}
+	}
+	if _, err := Serve("127.0.0.1:0", Options{Job: Job{App: AppSpec{Name: "wc"}, Collector: core.BufferPool, UseCombiner: true}, Workers: 1}); !errors.Is(err, native.ErrCombiner) {
+		t.Errorf("Serve with a pool-collector combiner job: error %v, want %v", err, native.ErrCombiner)
+	}
+
+	ok, want := wcOptions(2, nil)
+	ok.Job.UseCombiner = true
+	res, err := RunLoopback(ok)
+	if err != nil {
+		t.Fatalf("hash collector with combiner: %v", err)
+	}
+	if err := apps.VerifyCounts(res.Output(), want); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -164,11 +202,11 @@ func TestWorkerKill(t *testing.T) {
 	tel := obs.NewTelemetry()
 	data, want := apps.WCData(21, 96<<10, 1200)
 	o := Options{
-		Job:       Job{App: AppSpec{Name: "WC"}, Partitions: 5, Collector: core.HashTable},
-		Workers:   3,
-		Blocks:    SplitBlocks(data, 8<<10, 0), // ~12 tasks: plenty left at kill time
-		Telemetry: tel,
-		NewApp:    testResolver(apps.WordCount, nil),
+		Job:              Job{App: AppSpec{Name: "WC"}, Partitions: 5, Collector: core.HashTable},
+		Workers:          3,
+		Blocks:           SplitBlocks(data, 8<<10, 0), // ~12 tasks: plenty left at kill time
+		Telemetry:        tel,
+		NewApp:           testResolver(apps.WordCount, nil),
 		KillWorker:       1,
 		KillAfterMapDone: 2,
 	}
@@ -280,11 +318,11 @@ func TestOverlap(t *testing.T) {
 	tel := obs.NewTelemetry()
 	data, _ := apps.WCData(21, 256<<10, 1200)
 	o := Options{
-		Job:       Job{App: AppSpec{Name: "WC"}, Partitions: 6, Collector: core.HashTable},
-		Workers:   3,
-		Blocks:    SplitBlocks(data, 8<<10, 0),
-		Telemetry: tel,
-		NewApp:    testResolver(apps.WordCount, nil),
+		Job:        Job{App: AppSpec{Name: "WC"}, Partitions: 6, Collector: core.HashTable},
+		Workers:    3,
+		Blocks:     SplitBlocks(data, 8<<10, 0),
+		Telemetry:  tel,
+		NewApp:     testResolver(apps.WordCount, nil),
 		KillWorker: -1,
 	}
 	if _, err := RunLoopback(o); err != nil {
@@ -330,10 +368,10 @@ func TestGeometryInvariance(t *testing.T) {
 	data, want := apps.WCData(21, 64<<10, 800)
 	ref := ""
 	for _, g := range []struct {
-		name             string
-		workers, parts   int
-		chunk            int
-		compress         bool
+		name           string
+		workers, parts int
+		chunk          int
+		compress       bool
 	}{
 		{"w3-p4", 3, 4, 16 << 10, false},
 		{"w2-p7", 2, 7, 16 << 10, false},

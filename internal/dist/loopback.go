@@ -92,6 +92,9 @@ func RunLoopback(o Options) (*Result, error) {
 	if resolve == nil {
 		resolve = RegistryResolver
 	}
+	if err := checkCombiner(o.Job, resolve); err != nil {
+		return nil, err
+	}
 
 	// Fold the legacy single-kill knob into the elastic schedule so the
 	// coordinator has one churn pipeline.

@@ -1,9 +1,8 @@
 package dist
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -35,22 +34,14 @@ func (cr *committedRun) load() (*kv.Run, error) {
 	if cr.run != nil {
 		return cr.run, nil
 	}
-	f, err := os.Open(cr.file)
+	it, err := kv.OpenSpillFile(cr.file, false, cr.records)
 	if err != nil {
 		return nil, fmt.Errorf("dist: reloading spilled run: %w", err)
 	}
-	defer f.Close()
-	r := kv.NewReader(bufio.NewReaderSize(f, 64<<10))
-	pairs := make([]kv.Pair, 0, cr.records)
-	for {
-		p, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dist: reloading spilled run: %w", err)
-		}
-		pairs = append(pairs, p)
+	defer it.Close()
+	pairs := kv.Drain(it)
+	if err := it.Err(); err != nil {
+		return nil, fmt.Errorf("dist: reloading spilled run: %w", err)
 	}
 	return kv.NewRun(pairs, false), nil
 }
@@ -89,10 +80,10 @@ type stagedRun struct {
 // Not self-locking: callers hold the owning worker's mutex.
 type shuffleStore struct {
 	epoch      int
-	partitions map[int][]committedRun            // committed runs per home partition
-	have       map[int]map[int]bool              // task → partitions committed here
-	staged     map[attemptKey]map[int]stagedRun  // uncommitted shuffle arrivals
-	handoff    map[int]map[int][]stagedHandoff   // partition → epoch → staged handoff runs
+	partitions map[int][]committedRun           // committed runs per home partition
+	have       map[int]map[int]bool             // task → partitions committed here
+	staged     map[attemptKey]map[int]stagedRun // uncommitted shuffle arrivals
+	handoff    map[int]map[int][]stagedHandoff  // partition → epoch → staged handoff runs
 
 	// Out-of-core spill state: once resident committed bytes exceed
 	// spillLimit (> 0), the biggest partition's runs are evicted to sorted
@@ -225,7 +216,7 @@ func (s *shuffleStore) spillPartition(part int) bool {
 		t0 := time.Now()
 		path := filepath.Join(dir, fmt.Sprintf("spill-%06d.run", s.spillSeq))
 		s.spillSeq++
-		stored, err := writeRunFile(path, cr.run)
+		st, err := kv.WriteSpillFile(path, cr.run.Iter(), false)
 		if err != nil {
 			s.spillLimit = 0
 			return moved
@@ -235,13 +226,13 @@ func (s *shuffleStore) spillPartition(part int) bool {
 		if s.spillLed != nil {
 			s.spillLed.spillRecords.Add(int64(cr.records))
 			s.spillLed.spillRawBytes.Add(cr.rawBytes)
-			s.spillLed.spillStoredBytes.Add(stored)
+			s.spillLed.spillStoredBytes.Add(st.StoredBytes)
 			s.spillLed.spillFiles.Add(1)
 		}
 		if s.spillTr != nil {
 			s.spillTr.record(stageSpill, t0, time.Now(), 0)
 		}
-		cr.run, cr.file, cr.stored = nil, path, stored
+		cr.run, cr.file, cr.stored = nil, path, st.StoredBytes
 		moved = true
 	}
 	if s.residentPart[part] <= 0 {
@@ -250,55 +241,14 @@ func (s *shuffleStore) spillPartition(part int) bool {
 	return moved
 }
 
-// writeRunFile streams one sorted run into the kv stream format (the same
-// spill framing the native runtime uses), returning the encoded size.
-func writeRunFile(path string, run *kv.Run) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	w := kv.NewWriter(f)
-	it := run.Iter()
-	for {
-		p, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := w.Write(p); err != nil {
-			f.Close()
-			os.Remove(path)
-			return 0, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return 0, err
-	}
-	return w.Bytes(), nil
-}
-
-// spillFileIter streams a spilled run back for the reduce merge, surfacing
-// stream errors through the Iterator's exhaustion plus the err method.
-type spillFileIter struct {
-	f  *os.File
-	it *kv.StreamIter
-}
-
-func (si *spillFileIter) Next() (kv.Pair, bool) { return si.it.Next() }
-
 // partitionIters returns one sorted iterator per committed run of part —
 // resident runs iterate in memory, spilled runs stream off disk — plus the
-// partition's record total. close releases the open spill files; err (from
-// any iterator's underlying stream) must be checked after the merge drains.
-func (s *shuffleStore) partitionIters(part int) (iters []kv.Iterator, records int64, close func(), errf func() error) {
+// partition's record total. done closes the spill files and reports every
+// one that failed to open or stream back; call it once the merge drains.
+func (s *shuffleStore) partitionIters(part int) (iters []kv.Iterator, records int64, done func() error) {
 	crs := s.partitions[part]
-	var files []*spillFileIter
-	var openErr error
+	var files []*kv.SpillFileIter
+	var errs []error
 	for i := range crs {
 		cr := &crs[i]
 		records += int64(cr.records)
@@ -306,32 +256,25 @@ func (s *shuffleStore) partitionIters(part int) (iters []kv.Iterator, records in
 			iters = append(iters, cr.run.Iter())
 			continue
 		}
-		f, err := os.Open(cr.file)
+		f, err := kv.OpenSpillFile(cr.file, false, cr.records)
 		if err != nil {
-			openErr = fmt.Errorf("dist: opening spilled run: %w", err)
+			errs = append(errs, err)
 			continue
 		}
-		si := &spillFileIter{f: f, it: kv.NewStreamIter(kv.NewReader(bufio.NewReaderSize(f, 64<<10)))}
-		files = append(files, si)
-		iters = append(iters, si)
+		files = append(files, f)
+		iters = append(iters, f)
 	}
-	close = func() {
-		for _, si := range files {
-			si.f.Close()
+	done = func() error {
+		for _, f := range files {
+			errs = append(errs, f.Err())
+			f.Close()
 		}
-	}
-	errf = func() error {
-		if openErr != nil {
-			return openErr
-		}
-		for _, si := range files {
-			if err := si.it.Err(); err != nil {
-				return fmt.Errorf("dist: streaming spilled run: %w", err)
-			}
+		if err := errors.Join(errs...); err != nil {
+			return fmt.Errorf("dist: streaming spilled run: %w", err)
 		}
 		return nil
 	}
-	return iters, records, close, errf
+	return iters, records, done
 }
 
 // takePartition removes a partition this node is handing to a new home,

@@ -1,6 +1,10 @@
 package dist
 
 import (
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"glasswing/internal/kv"
@@ -47,8 +51,8 @@ func TestStoreEpochFenceAfterHandoff(t *testing.T) {
 	if acc != 0 || dup != 3 {
 		t.Fatalf("stale commit: accepted %d dupped %d, want 0/3", acc, dup)
 	}
-	iters, records, closeIters, _ := s.partitionIters(part)
-	closeIters()
+	iters, records, done := s.partitionIters(part)
+	done()
 	if got := len(iters); got != 1 || records != 3 {
 		t.Fatalf("partition holds %d runs / %d records, want exactly the adopted one (1/3)", got, records)
 	}
@@ -64,8 +68,8 @@ func TestStoreHandoffEpochFence(t *testing.T) {
 	if adopted, dupped := s.adoptHandoff(4, 1); adopted != 0 || dupped != 5 {
 		t.Fatalf("stale handoff: adopted %d dupped %d, want 0/5", adopted, dupped)
 	}
-	iters, _, closeIters, _ := s.partitionIters(4)
-	closeIters()
+	iters, _, done := s.partitionIters(4)
+	done()
 	if iters != nil {
 		t.Fatal("stale handoff runs became visible to reduce")
 	}
@@ -87,5 +91,43 @@ func TestStoreDedupAcrossAttempts(t *testing.T) {
 	acc, dup := s.commit(3, 1)
 	if acc != 4 || dup != 2 {
 		t.Fatalf("re-execution commit: accepted %d dupped %d, want 4/2", acc, dup)
+	}
+}
+
+// TestStoreTruncatedSpillFailsReduce: a spilled run whose file was cut
+// mid-pair must surface through partitionIters' done, so the reduce attempt
+// fails instead of reporting the partition short.
+func TestStoreTruncatedSpillFailsReduce(t *testing.T) {
+	dir := t.TempDir()
+	s := newShuffleStore()
+	s.enableSpill(1, func() (string, error) { return dir, nil }, nil, nil)
+	const part = 3
+	s.stage(0, 0, part, storeRun(t, 5), 0)
+	s.stage(1, 0, part, storeRun(t, 6), 0)
+	s.commit(0, 0)
+	s.commit(1, 0)
+	files, _ := filepath.Glob(filepath.Join(dir, "spill-*.run"))
+	if len(files) != 2 {
+		t.Fatalf("%d spill files, want one per committed run (2)", len(files))
+	}
+	fi, err := os.Stat(files[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(files[1], fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+
+	iters, records, done := s.partitionIters(part)
+	if records != 11 {
+		t.Fatalf("partition books %d records, want 11", records)
+	}
+	got := kv.Drain(kv.Merge(iters...))
+	err = done()
+	if err == nil {
+		t.Fatalf("merge over a truncated spill returned %d of 11 records with no error", len(got))
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("error %v does not wrap io.ErrUnexpectedEOF", err)
 	}
 }

@@ -57,6 +57,7 @@ func TestAPISubmitRejections(t *testing.T) {
 	bigParams := base64.StdEncoding.EncodeToString(make([]byte, 200))
 	bigInput := base64.StdEncoding.EncodeToString(make([]byte, 4096))
 	in := base64.StdEncoding.EncodeToString([]byte("a b\n"))
+	tsParams := base64.StdEncoding.EncodeToString(dist.EncodeTSParams([][]byte{[]byte("m")}))
 
 	cases := []struct {
 		name       string
@@ -79,6 +80,8 @@ func TestAPISubmitRejections(t *testing.T) {
 		{"negative geometry", `{"tenant":"t","app":"wc","input_b64":"` + in + `","partitions":-3}`, 400, "bad-geometry"},
 		{"fault injection disabled", `{"tenant":"t","app":"wc","input_b64":"` + in + `","map_fault_mod":3}`, 400, "fault-injection-disabled"},
 		{"ts without params", `{"tenant":"t","app":"ts","input_b64":"` + in + `","record_size":100}`, 400, "unknown-app"},
+		{"combiner for app without one", `{"tenant":"t","app":"ts","input_b64":"` + in + `","record_size":100,"params_b64":"` + tsParams + `","use_combiner":true}`, 400, "bad-combiner"},
+		{"combiner with pool collector", `{"tenant":"t","app":"wc","input_b64":"` + in + `","collector":"pool","use_combiner":true}`, 400, "bad-combiner"},
 	}
 
 	_, srv := apiFixture(t, Config{MaxInputBytes: 1024, MaxParamsBytes: 100})

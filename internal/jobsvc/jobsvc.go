@@ -43,6 +43,7 @@ import (
 
 	"glasswing/internal/core"
 	"glasswing/internal/dist"
+	"glasswing/internal/native"
 	"glasswing/internal/obs"
 )
 
@@ -215,7 +216,9 @@ type Request struct {
 	// Workers is the cluster size drawn from the fleet (0 = default 2;
 	// clamped to the fleet size).
 	Workers int `json:"workers,omitempty"`
-	// Collector is "hash" (default) or "pool".
+	// Collector is "hash" (default) or "pool". UseCombiner runs the app's
+	// combiner, which needs an app that has one and the hash collector
+	// (400 bad-combiner otherwise).
 	Collector   string `json:"collector,omitempty"`
 	UseCombiner bool   `json:"use_combiner,omitempty"`
 	Compress    bool   `json:"compress,omitempty"`
@@ -591,7 +594,8 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 	}
 	// Resolve the app now: an unknown name or corrupt param blob fails the
 	// submission, not the run.
-	if _, _, err := dist.RegistryResolver(dist.AppSpec{Name: req.App, Params: params}); err != nil {
+	app, _, err := dist.RegistryResolver(dist.AppSpec{Name: req.App, Params: params})
+	if err != nil {
 		return nil, badRequest("unknown-app", "%v", err)
 	}
 	var collector core.CollectorKind
@@ -602,6 +606,9 @@ func (s *Service) parseRequest(req Request) (*job, *APIError) {
 		collector = core.BufferPool
 	default:
 		return nil, badRequest("bad-collector", "unknown collector %q (hash, pool)", req.Collector)
+	}
+	if err := native.CheckCombiner(app, collector, req.UseCombiner); err != nil {
+		return nil, badRequest("bad-combiner", "%v", err)
 	}
 	workers := req.Workers
 	if workers <= 0 {

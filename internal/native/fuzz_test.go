@@ -75,11 +75,14 @@ func FuzzSpillMerge(f *testing.F) {
 		}
 
 		for g := 0; g < parts; g++ {
-			iters, err := st.iterators(g)
+			iters, done, err := st.iterators(g)
 			if err != nil {
 				t.Fatalf("iterators(%d): %v", g, err)
 			}
 			got := kv.Drain(kv.Merge(iters...))
+			if err := done(); err != nil {
+				t.Fatalf("reading partition %d back: %v", g, err)
+			}
 			if !kv.PairsSorted(got) {
 				t.Fatalf("partition %d merge output not sorted (%d pairs)", g, len(got))
 			}

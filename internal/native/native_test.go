@@ -2,6 +2,7 @@ package native
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -170,7 +171,10 @@ func TestParallelismActuallyHelps(t *testing.T) {
 		t.Skip("single-CPU environment")
 	}
 	// Compute-heavy KM: the parallel run should beat one worker. Wall
-	// times are noisy, so only require SOME speedup over serial.
+	// times are noisy, and under a loaded test suite one unlucky run can
+	// lose most of its CPU, so serial and parallel runs alternate and each
+	// side keeps its best of n: contention then hits both sides alike, and
+	// only SOME speedup over serial is required.
 	data, spec := apps.KMData(7, 200000, 4, 64)
 	blocks := dfs.SplitFixed(data, 64<<10, int64(spec.Dim*4))
 	app := apps.KMeans(spec)
@@ -183,9 +187,13 @@ func TestParallelismActuallyHelps(t *testing.T) {
 		}
 		return res.Total.Seconds()
 	}
-	serial := run(1)
-	parallel := run(runtime.GOMAXPROCS(0))
-	t.Logf("serial %.3fs, parallel %.3fs (%.2fx)", serial, parallel, serial/parallel)
+	const n = 5
+	serial, parallel := math.Inf(1), math.Inf(1)
+	for i := 0; i < n; i++ {
+		serial = min(serial, run(1))
+		parallel = min(parallel, run(runtime.GOMAXPROCS(0)))
+	}
+	t.Logf("best of %d: serial %.3fs, parallel %.3fs (%.2fx)", n, serial, parallel, serial/parallel)
 	if parallel > serial*1.1 {
 		t.Errorf("parallel run (%.3fs) slower than serial (%.3fs)", parallel, serial)
 	}

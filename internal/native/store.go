@@ -1,9 +1,8 @@
 package native
 
 import (
-	"compress/flate"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -18,8 +17,15 @@ import (
 type storeShard struct {
 	mu     sync.Mutex
 	runs   []*kv.Run
-	spills []string
+	spills []spillFile
 	bytes  atomic.Int64
+}
+
+// spillFile is one spill file of a partition and the record count it was
+// written with (OpenSpillFile checks the read-back against it).
+type spillFile struct {
+	path    string
+	records int
 }
 
 // partitionStore is the native intermediate-data manager: per-partition run
@@ -139,64 +145,22 @@ func (s *partitionStore) spill(g int, runs []*kv.Run) error {
 	end := s.rec.start(stageSpill)
 	defer end()
 
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("native: creating spill: %w", err)
-	}
-	var out io.Writer = f
-	if s.rec != nil {
-		out = &countingWriter{w: f, n: &s.rec.spillBytes}
-	}
-	var sink = struct {
-		write *kv.Writer
-		close func() error
-	}{}
-	if s.cfg.Compress {
-		fw, err := flate.NewWriter(out, flate.BestSpeed)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		sink.write = kv.NewWriter(fw)
-		sink.close = func() error {
-			if err := fw.Close(); err != nil {
-				return err
-			}
-			return f.Close()
-		}
-	} else {
-		sink.write = kv.NewWriter(out)
-		sink.close = f.Close
-	}
 	iters := make([]kv.Iterator, len(runs))
 	for i, r := range runs {
 		iters[i] = r.Iter()
 	}
-	merged := kv.Merge(iters...)
-	for {
-		p, ok := merged.Next()
-		if !ok {
-			break
-		}
-		if err := sink.write.Write(p); err != nil {
-			sink.close()
-			return fmt.Errorf("native: writing spill: %w", err)
-		}
-	}
-	if err := sink.write.Flush(); err != nil {
-		sink.close()
-		return err
-	}
-	if err := sink.close(); err != nil {
-		return fmt.Errorf("native: closing spill: %w", err)
+	st, err := kv.WriteSpillFile(path, kv.Merge(iters...), s.cfg.Compress)
+	if err != nil {
+		return fmt.Errorf("native: %w", err)
 	}
 	if s.rec != nil {
-		s.rec.spillRecords.Add(int64(sink.write.Count()))
-		s.rec.spillRawBytes.Add(sink.write.Bytes())
+		s.rec.spillRecords.Add(int64(st.Records))
+		s.rec.spillRawBytes.Add(st.RawBytes)
+		s.rec.spillBytes.Add(st.StoredBytes)
 	}
 	sh := &s.shards[g]
 	sh.mu.Lock()
-	sh.spills = append(sh.spills, path)
+	sh.spills = append(sh.spills, spillFile{path: path, records: st.Records})
 	sh.mu.Unlock()
 	return nil
 }
@@ -253,40 +217,40 @@ func (s *partitionStore) compactAll(workers int) error {
 	return s.err()
 }
 
-// iterators returns sorted iterators over all of partition g's data
-// (cached runs plus spill files read back from disk).
-func (s *partitionStore) iterators(g int) ([]kv.Iterator, error) {
+// iterators returns sorted iterators over all of partition g's data:
+// cached runs plus spill files streamed back from disk. done closes the
+// files and reports any read failure; call it once the merge drains.
+func (s *partitionStore) iterators(g int) (iters []kv.Iterator, done func() error, err error) {
 	sh := &s.shards[g]
 	sh.mu.Lock()
 	runs := sh.runs
-	paths := sh.spills
+	spills := sh.spills
 	sh.mu.Unlock()
-	var iters []kv.Iterator
 	for _, r := range runs {
 		iters = append(iters, r.Iter())
 	}
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("native: reading spill %s: %w", path, err)
+	var files []*kv.SpillFileIter
+	done = func() error {
+		var errs []error
+		for _, f := range files {
+			errs = append(errs, f.Err())
+			f.Close()
 		}
-		var src = func() *kv.Reader {
-			if s.cfg.Compress {
-				return kv.NewReader(flate.NewReader(f))
-			}
-			return kv.NewReader(f)
-		}()
-		it := kv.NewStreamIter(src)
-		// Spill files are modest; drain eagerly so the descriptor closes
-		// before the merge begins.
-		pairs := kv.Drain(it)
-		f.Close()
-		if err := it.Err(); err != nil {
-			return nil, fmt.Errorf("native: decoding spill %s: %w", path, err)
+		if err := errors.Join(errs...); err != nil {
+			return fmt.Errorf("native: %w", err)
 		}
-		iters = append(iters, kv.NewSliceIter(pairs))
+		return nil
 	}
-	return iters, nil
+	for _, sf := range spills {
+		f, err := kv.OpenSpillFile(sf.path, s.cfg.Compress, sf.records)
+		if err != nil {
+			done()
+			return nil, nil, fmt.Errorf("native: %w", err)
+		}
+		files = append(files, f)
+		iters = append(iters, f)
+	}
+	return iters, done, nil
 }
 
 func (s *partitionStore) spillCount() int {

@@ -1,7 +1,10 @@
 package native
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -82,11 +85,14 @@ func TestStoreShardedConcurrentAdds(t *testing.T) {
 	}
 	total := 0
 	for g := 0; g < parts; g++ {
-		iters, err := store.iterators(g)
+		iters, done, err := store.iterators(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		total += len(kv.Drain(kv.Merge(iters...)))
+		if err := done(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if want := workers * perWorker; total != want {
 		t.Fatalf("drained %d pairs, want %d", total, want)
@@ -148,6 +154,60 @@ func TestSpillStressManyPartitions(t *testing.T) {
 		}
 		if err := apps.VerifyCounts(res.Output(), want); err != nil {
 			t.Fatalf("compress=%v: %v", compress, err)
+		}
+	}
+}
+
+// TestRunFailsOnTruncatedSpill: a spill file cut mid-pair between the map
+// and reduce phases must fail the run with an error, never return the
+// partition's output short. With one kernel worker the reduce phase runs
+// partitions one at a time, so the first reduce call truncates the other
+// partition's spill files before that partition opens them.
+func TestRunFailsOnTruncatedSpill(t *testing.T) {
+	data, _ := apps.WCData(11, 128<<10, 800)
+	blocks := dfs.SplitLines(data, 4<<10)
+	for _, compress := range []bool{false, true} {
+		spillDir := t.TempDir()
+		app := apps.WordCount()
+		app.ReduceBatch = nil // route reduce through the wrapped per-group kernel
+		reduce := app.Reduce
+		var once sync.Once
+		truncated := 0
+		app.Reduce = func(key []byte, vals [][]byte, emit func(k, v []byte)) {
+			once.Do(func() {
+				other := 1 - kv.Partition(key, 2)
+				files, _ := filepath.Glob(filepath.Join(spillDir, "glasswing-spill-*", fmt.Sprintf("part%04d-*.run", other)))
+				for _, f := range files {
+					fi, err := os.Stat(f)
+					if err != nil {
+						t.Error(err)
+						continue
+					}
+					if err := os.Truncate(f, fi.Size()-1); err != nil {
+						t.Error(err)
+						continue
+					}
+					truncated++
+				}
+			})
+			reduce(key, vals, emit)
+		}
+		res, err := Run(app, blocks, Config{
+			Collector:      core.HashTable,
+			KernelWorkers:  1,
+			Partitions:     2,
+			CacheThreshold: 4 << 10,
+			Compress:       compress,
+			SpillDir:       spillDir,
+		})
+		if truncated == 0 {
+			t.Fatalf("compress=%v: no spill files of the second partition to truncate", compress)
+		}
+		if err == nil {
+			t.Fatalf("compress=%v: run over %d truncated spill files succeeded with %d output pairs", compress, truncated, res.OutputPairs)
+		}
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("compress=%v: error %v does not wrap io.ErrUnexpectedEOF", compress, err)
 		}
 	}
 }

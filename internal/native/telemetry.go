@@ -1,7 +1,6 @@
 package native
 
 import (
-	"io"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -172,17 +171,4 @@ func (r *recorder) publish(res *Result) {
 	runtime.ReadMemStats(&m)
 	reg.Gauge("native_mallocs_delta").Set(float64(m.Mallocs - r.memStart.Mallocs))
 	reg.Gauge("native_heap_bytes_delta").Set(float64(m.TotalAlloc - r.memStart.TotalAlloc))
-}
-
-// countingWriter tallies bytes written through it into an atomic (spill
-// volume as stored on disk, after any compression).
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n.Add(int64(n))
-	return n, err
 }
