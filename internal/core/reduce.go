@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"glasswing/internal/cl"
 	"glasswing/internal/kv"
@@ -122,6 +123,7 @@ func (j *job) runReducePipeline(p *sim.Proc, nodeIdx int) StageTimes {
 					break
 				}
 				groupsN++
+				g.Values = slices.Clone(g.Values) // GroupIter reuses Values on Next
 				batch = append(batch, g)
 				batchBytes += g.Bytes()
 				if len(batch) >= cfg.ConcurrentKeys {

@@ -166,15 +166,10 @@ func (b *Batch) RunRange(lo, hi int, compress bool) *Run {
 		enc += int64(uvarintLen(uint64(e.klen))) + int64(uvarintLen(uint64(e.vlen)))
 	}
 	enc += raw + int64(uvarintLen(uint64(hi-lo)))
-	blob := make([]byte, 0, enc)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(hi-lo))
-	blob = append(blob, tmp[:n]...)
+	blob := binary.AppendUvarint(make([]byte, 0, enc), uint64(hi-lo))
 	for _, e := range b.idx[lo:hi] {
-		n = binary.PutUvarint(tmp[:], uint64(e.klen))
-		blob = append(blob, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(e.vlen))
-		blob = append(blob, tmp[:n]...)
+		blob = binary.AppendUvarint(blob, uint64(e.klen))
+		blob = binary.AppendUvarint(blob, uint64(e.vlen))
 		blob = append(blob, b.data[e.off:e.off+e.klen+e.vlen]...)
 	}
 	if compress {

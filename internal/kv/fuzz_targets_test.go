@@ -199,20 +199,31 @@ func FuzzBatchRunRange(f *testing.F) {
 
 // FuzzMergeRuns checks the k-way merge: pairs scattered round-robin over
 // several runs must merge back to exactly the sorted whole — same multiset,
-// key-then-value order preserved.
+// key-then-value order preserved — and the streamed MergeRuns blob must be
+// byte-identical to the reference NewRun over the drained merge, compressed
+// and uncompressed. When asked, every pair is also copied into the next
+// run, so equal pairs meet across runs.
 func FuzzMergeRuns(f *testing.F) {
 	f.Add([]byte("\x03\x01the quick brown fox jumps over the lazy dog"))
 	f.Add([]byte{7, 0})
+	f.Add([]byte("\x04\x02aa1aa1aa1bb2bb2bb2aa1")) // every pair in two runs
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
 		fanIn := int(data[0]%7) + 1
 		compress := data[1]%2 == 1
+		dup := data[1]&2 != 0
 		pairs := pairsFromBytes(data[2:])
 		shards := make([][]Pair, fanIn)
 		for i, p := range pairs {
 			shards[i%fanIn] = append(shards[i%fanIn], p)
+		}
+		if dup {
+			for i, p := range pairs {
+				shards[(i+1)%fanIn] = append(shards[(i+1)%fanIn], p)
+			}
+			pairs = append(pairs, pairs...)
 		}
 		runs := make([]*Run, 0, fanIn)
 		for _, shard := range shards {
@@ -228,6 +239,60 @@ func FuzzMergeRuns(f *testing.F) {
 		SortPairs(want)
 		if !pairsEqual(want, got) {
 			t.Fatalf("merge changed the multiset: %d vs %d pairs", len(want), len(got))
+		}
+		for _, c := range []bool{false, true} {
+			iters := make([]Iterator, len(runs))
+			for i, r := range runs {
+				iters[i] = r.Iter()
+			}
+			ref := NewRun(Drain(Merge(iters...)), c)
+			m := MergeRuns(runs, c)
+			if !bytes.Equal(m.Blob(), ref.Blob()) {
+				t.Fatalf("compress=%v: MergeRuns blob (%d bytes) differs from reference (%d bytes)", c, len(m.Blob()), len(ref.Blob()))
+			}
+			if m.Records != ref.Records || m.RawBytes != ref.RawBytes || m.Compressed != ref.Compressed {
+				t.Fatalf("compress=%v: MergeRuns metadata %d/%d/%v, reference %d/%d/%v",
+					c, m.Records, m.RawBytes, m.Compressed, ref.Records, ref.RawBytes, ref.Compressed)
+			}
+		}
+	})
+}
+
+// drainRunIter drains a view over blob through Run.Iter, reporting a
+// decode panic instead of propagating it.
+func drainRunIter(blob []byte, compressed bool) (pairs []Pair, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			pairs, panicked = nil, true
+		}
+	}()
+	return Drain(NewRunView(blob, 0, 0, compressed).Iter()), false
+}
+
+// FuzzRunIter pins the one frame decoder: draining the lazy run cursor over
+// arbitrary bytes panics exactly when Unmarshal rejects them, and otherwise
+// yields the same pairs. The same bytes DEFLATE-compressed take the
+// inflate-once path and must behave identically.
+func FuzzRunIter(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(Marshal(nil))
+	f.Add(Marshal([]Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("bb"), Value: nil}}))
+	f.Add([]byte("\x02\x01\x01ab\x05"))                       // second frame truncated
+	f.Add([]byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01")) // absurd pair count
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		want, err := Unmarshal(blob)
+		for _, compressed := range []bool{false, true} {
+			in := blob
+			if compressed {
+				in = Deflate(blob)
+			}
+			got, panicked := drainRunIter(in, compressed)
+			if panicked != (err != nil) {
+				t.Fatalf("compressed=%v: Iter panicked=%v, Unmarshal err=%v", compressed, panicked, err)
+			}
+			if err == nil && !pairsEqual(want, got) {
+				t.Fatalf("compressed=%v: Iter yielded %d pairs, Unmarshal %d", compressed, len(got), len(want))
+			}
 		}
 	})
 }

@@ -93,63 +93,103 @@ func (b *Buffer) Reset() {
 
 // Marshal encodes pairs as varint-length-prefixed frames:
 // uvarint(count), then per pair uvarint(len(key)), uvarint(len(value)),
-// key bytes, value bytes.
+// key bytes, value bytes. The encoded size is computed exactly up front, so
+// the blob is built in one allocation.
 func Marshal(pairs []Pair) []byte {
-	var size int
+	size := uvarintLen(uint64(len(pairs)))
 	for _, p := range pairs {
-		size += 2*binary.MaxVarintLen32 + len(p.Key) + len(p.Value)
+		size += uvarintLen(uint64(len(p.Key))) + uvarintLen(uint64(len(p.Value))) + len(p.Key) + len(p.Value)
 	}
-	buf := make([]byte, 0, size+binary.MaxVarintLen64)
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(pairs)))
-	buf = append(buf, tmp[:n]...)
+	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(pairs)))
 	for _, p := range pairs {
-		n = binary.PutUvarint(tmp[:], uint64(len(p.Key)))
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(len(p.Value)))
-		buf = append(buf, tmp[:n]...)
-		buf = append(buf, p.Key...)
-		buf = append(buf, p.Value...)
+		buf = appendFrame(buf, p)
 	}
 	return buf
 }
 
-// Unmarshal decodes a blob produced by Marshal.
+// appendFrame appends one pair's frame to buf.
+func appendFrame(buf []byte, p Pair) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(p.Key)))
+	buf = binary.AppendUvarint(buf, uint64(len(p.Value)))
+	buf = append(buf, p.Key...)
+	return append(buf, p.Value...)
+}
+
+// Unmarshal decodes a blob produced by Marshal. The pairs alias blob.
 func Unmarshal(blob []byte) ([]Pair, error) {
-	rd := bytes.NewReader(blob)
-	count, err := binary.ReadUvarint(rd)
+	c, err := newFrameCursor(blob)
 	if err != nil {
-		return nil, fmt.Errorf("kv: reading pair count: %w", err)
+		return nil, err
+	}
+	pairs := make([]Pair, 0, c.count)
+	for {
+		p, ok, err := c.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return pairs, nil
+		}
+		pairs = append(pairs, p)
+	}
+}
+
+// frameCursor walks the frames of a Marshal blob one pair at a time. It is
+// the one frame decoder: Unmarshal drains it into a slice, Run.Iter and
+// MergeRuns stream from it without materializing pairs. Decoded pairs are
+// views into the blob (capacity-limited, so appending to one never
+// overwrites the frame after it).
+type frameCursor struct {
+	blob  []byte
+	off   int    // start of the next frame
+	read  uint64 // pairs decoded so far
+	count uint64 // pairs the blob's header announces
+}
+
+// newFrameCursor reads blob's pair count and positions the cursor on the
+// first frame.
+func newFrameCursor(blob []byte) (frameCursor, error) {
+	count, n := binary.Uvarint(blob)
+	if n <= 0 {
+		return frameCursor{}, fmt.Errorf("kv: pair count: %s", badUvarint)
 	}
 	// Every pair carries at least two framing bytes, so a count beyond the
 	// blob size is corrupt; rejecting it here also bounds the preallocation
 	// against hostile counts.
 	if count > uint64(len(blob)) {
-		return nil, fmt.Errorf("kv: pair count %d exceeds blob size %d", count, len(blob))
+		return frameCursor{}, fmt.Errorf("kv: pair count %d exceeds blob size %d", count, len(blob))
 	}
-	pairs := make([]Pair, 0, count)
-	for i := uint64(0); i < count; i++ {
-		kl, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("kv: pair %d key length: %w", i, err)
-		}
-		vl, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("kv: pair %d value length: %w", i, err)
-		}
-		// Validate in uint64 space before any int conversion: lengths near
-		// 2^63 would otherwise overflow the bounds arithmetic.
-		rem := uint64(rd.Len())
-		if kl > rem || vl > rem-kl {
-			return nil, fmt.Errorf("kv: pair %d overruns blob (%d+%d > %d remaining)", i, kl, vl, rem)
-		}
-		off := len(blob) - rd.Len()
-		key := blob[off : off+int(kl)]
-		val := blob[off+int(kl) : off+int(kl)+int(vl)]
-		pairs = append(pairs, Pair{Key: key, Value: val})
-		if _, err := rd.Seek(int64(kl+vl), 1); err != nil {
-			return nil, err
-		}
-	}
-	return pairs, nil
+	return frameCursor{blob: blob, off: n, count: count}, nil
 }
+
+// next decodes the next pair, or reports ok=false once all count pairs
+// have been read. Bytes after the last announced pair are ignored.
+func (c *frameCursor) next() (p Pair, ok bool, err error) {
+	if c.read == c.count {
+		return Pair{}, false, nil
+	}
+	i, off := c.read, c.off
+	kl, n := binary.Uvarint(c.blob[off:])
+	if n <= 0 {
+		return Pair{}, false, fmt.Errorf("kv: pair %d key length: %s", i, badUvarint)
+	}
+	off += n
+	vl, n := binary.Uvarint(c.blob[off:])
+	if n <= 0 {
+		return Pair{}, false, fmt.Errorf("kv: pair %d value length: %s", i, badUvarint)
+	}
+	off += n
+	// Validate in uint64 space before any int conversion: lengths near
+	// 2^63 would otherwise overflow the bounds arithmetic.
+	rem := uint64(len(c.blob) - off)
+	if kl > rem || vl > rem-kl {
+		return Pair{}, false, fmt.Errorf("kv: pair %d overruns blob (%d+%d > %d remaining)", i, kl, vl, rem)
+	}
+	k, v := off+int(kl), off+int(kl)+int(vl)
+	c.off = v
+	c.read++
+	return Pair{Key: c.blob[off:k:k], Value: c.blob[k:v:v]}, true, nil
+}
+
+// badUvarint describes a varint that binary.Uvarint rejects (n <= 0).
+const badUvarint = "truncated or overlong uvarint"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -196,6 +197,35 @@ func TestGroupIter(t *testing.T) {
 	}
 	if fmt.Sprint(keys) != "[a b c]" || fmt.Sprint(counts) != "[2 1 3]" {
 		t.Fatalf("groups = %v %v", keys, counts)
+	}
+}
+
+// TestGroupIterReusesValues pins the GroupIter contract: Values shares one
+// backing array across groups, so the next Next overwrites the previous
+// group's Values, while the key and value bytes stay intact. A caller that
+// keeps a group must clone Values first.
+func TestGroupIterReusesValues(t *testing.T) {
+	pairs := []Pair{
+		{Key: []byte("a"), Value: []byte("1")},
+		{Key: []byte("a"), Value: []byte("2")},
+		{Key: []byte("b"), Value: []byte("3")},
+		{Key: []byte("b"), Value: []byte("4")},
+	}
+	gi := NewGroupIter(NewSliceIter(pairs))
+	first, _ := gi.Next()
+	kept := slices.Clone(first.Values)
+	second, _ := gi.Next()
+	if string(first.Key) != "a" || string(second.Key) != "b" {
+		t.Fatalf("keys %q, %q", first.Key, second.Key)
+	}
+	if &first.Values[0] != &second.Values[0] {
+		t.Fatal("Values backing array not reused across groups")
+	}
+	if got := fmt.Sprintf("%s", first.Values); got != "[3 4]" {
+		t.Fatalf("first group's Values after the next Next = %s, want the second group's [3 4]", got)
+	}
+	if got := fmt.Sprintf("%s", kept); got != "[1 2]" {
+		t.Fatalf("cloned Values = %s, want [1 2]", got)
 	}
 }
 

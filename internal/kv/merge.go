@@ -1,7 +1,5 @@
 package kv
 
-import "container/heap"
-
 // Iterator yields pairs in key order. Implementations are not safe for
 // concurrent use; in the simulation each iterator is driven by one process.
 type Iterator interface {
@@ -29,9 +27,12 @@ func (s *SliceIter) Next() (Pair, bool) {
 	return p, true
 }
 
-// mergeIter is a k-way merge over sorted inputs using a binary heap.
+// mergeIter is a k-way merge over sorted inputs using a binary min-heap
+// ordered by (pair, source index), so equal pairs leave in source order.
+// The heap is a concrete slice with its own sift-down: no container/heap
+// interface dispatch per comparison.
 type mergeIter struct {
-	h mergeHeap
+	h []mergeEntry
 }
 
 type mergeEntry struct {
@@ -40,23 +41,31 @@ type mergeEntry struct {
 	it   Iterator
 }
 
-type mergeHeap []mergeEntry
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if c := h[i].pair.Compare(h[j].pair); c != 0 {
+func (m *mergeIter) less(i, j int) bool {
+	if c := m.h[i].pair.Compare(m.h[j].pair); c != 0 {
 		return c < 0
 	}
-	return h[i].src < h[j].src // stable across equal pairs
+	return m.h[i].src < m.h[j].src
 }
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeEntry)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// down restores the heap order below i.
+func (m *mergeIter) down(i int) {
+	n := len(m.h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		j := l
+		if r := l + 1; r < n && m.less(r, l) {
+			j = r
+		}
+		if !m.less(j, i) {
+			return
+		}
+		m.h[i], m.h[j] = m.h[j], m.h[i]
+		i = j
+	}
 }
 
 // Merge returns an iterator producing the union of the sorted inputs in key
@@ -64,13 +73,15 @@ func (h *mergeHeap) Pop() any {
 // runs continuously (§III-B) and the reduce input reader runs one last time
 // (§III-C).
 func Merge(iters ...Iterator) Iterator {
-	m := &mergeIter{}
+	m := &mergeIter{h: make([]mergeEntry, 0, len(iters))}
 	for i, it := range iters {
 		if p, ok := it.Next(); ok {
 			m.h = append(m.h, mergeEntry{pair: p, src: i, it: it})
 		}
 	}
-	heap.Init(&m.h)
+	for i := len(m.h)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
 	return m
 }
 
@@ -79,14 +90,17 @@ func (m *mergeIter) Next() (Pair, bool) {
 	if len(m.h) == 0 {
 		return Pair{}, false
 	}
-	top := m.h[0]
-	if p, ok := top.it.Next(); ok {
-		m.h[0] = mergeEntry{pair: p, src: top.src, it: top.it}
-		heap.Fix(&m.h, 0)
+	top := m.h[0].pair
+	if p, ok := m.h[0].it.Next(); ok {
+		m.h[0].pair = p
 	} else {
-		heap.Pop(&m.h)
+		last := len(m.h) - 1
+		m.h[0] = m.h[last]
+		m.h[last] = mergeEntry{}
+		m.h = m.h[:last]
 	}
-	return top.pair, true
+	m.down(0)
+	return top, true
 }
 
 // Group is one reduce input: a key and all of its values.
@@ -104,17 +118,30 @@ func (g Group) Bytes() int64 {
 	return n
 }
 
-// GroupIter folds a key-sorted pair iterator into per-key groups.
+// GroupIter folds a key-sorted pair iterator into per-key groups. It
+// reuses one Values backing array across groups (up to maxReusedValues
+// entries): a group's Values is valid only until the next call to Next, so
+// a caller that keeps a group past that must clone Values. The key and
+// value bytes themselves belong to the underlying iterator and are not
+// reused.
 type GroupIter struct {
 	it      Iterator
 	pending Pair
 	have    bool
+	vals    [][]byte
 }
+
+// maxReusedValues caps the Values array a GroupIter carries from one group
+// to the next. Holding the array of a key with hundreds of thousands of
+// values for the rest of a merge would raise the live heap, and with it the
+// GC's heap goal, by that much.
+const maxReusedValues = 1 << 14
 
 // NewGroupIter wraps a sorted iterator.
 func NewGroupIter(it Iterator) *GroupIter { return &GroupIter{it: it} }
 
-// Next returns the next key group, or ok=false at the end of input.
+// Next returns the next key group, or ok=false at the end of input. The
+// returned Values is overwritten by the following Next.
 func (g *GroupIter) Next() (Group, bool) {
 	if !g.have {
 		p, ok := g.it.Next()
@@ -123,18 +150,22 @@ func (g *GroupIter) Next() (Group, bool) {
 		}
 		g.pending, g.have = p, true
 	}
-	grp := Group{Key: g.pending.Key, Values: [][]byte{g.pending.Value}}
+	key := g.pending.Key
+	if cap(g.vals) > maxReusedValues {
+		g.vals = nil
+	}
+	g.vals = append(g.vals[:0], g.pending.Value)
 	g.have = false
 	for {
 		p, ok := g.it.Next()
 		if !ok {
-			return grp, true
+			return Group{Key: key, Values: g.vals}, true
 		}
-		if string(p.Key) != string(grp.Key) {
+		if string(p.Key) != string(key) {
 			g.pending, g.have = p, true
-			return grp, true
+			return Group{Key: key, Values: g.vals}, true
 		}
-		grp.Values = append(grp.Values, p.Value)
+		g.vals = append(g.vals, p.Value)
 	}
 }
 

@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -108,37 +109,101 @@ func (r *Run) Retain() {
 	}
 }
 
+// decoded returns the run's frames, inflated if the run is compressed.
+func (r *Run) decoded() ([]byte, error) {
+	if !r.Compressed {
+		return r.blob, nil
+	}
+	dec, err := Inflate(r.blob)
+	if err != nil {
+		return nil, fmt.Errorf("kv: decompressing run: %w", err)
+	}
+	return dec, nil
+}
+
 // Pairs decodes the run back into sorted pairs. For an uncompressed run
 // the pairs alias the run's blob (and, for an unretained view, the buffer
 // behind it).
 func (r *Run) Pairs() ([]Pair, error) {
-	blob := r.blob
-	if r.Compressed {
-		dec, err := Inflate(blob)
-		if err != nil {
-			return nil, fmt.Errorf("kv: decompressing run: %w", err)
-		}
-		blob = dec
+	blob, err := r.decoded()
+	if err != nil {
+		return nil, err
 	}
 	return Unmarshal(blob)
 }
 
-// Iter returns an iterator over the run's pairs. Decoding errors panic: a
-// run that fails to decode is a corrupted simulation artifact, not a
-// recoverable condition.
-func (r *Run) Iter() Iterator {
-	pairs, err := r.Pairs()
+// cursor returns a frame cursor over the run, panicking, as Iter does, if
+// the run does not inflate or its header is corrupt.
+func (r *Run) cursor() frameCursor {
+	blob, err := r.decoded()
 	if err != nil {
 		panic(err)
 	}
-	return NewSliceIter(pairs)
+	c, err := newFrameCursor(blob)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
-// MergeRuns merges several runs into one.
+// Iter returns an iterator over the run's pairs. It inflates a compressed
+// run once, then decodes one pair per Next as views into the decoded bytes
+// (which, as with Pairs, alias the blob of an uncompressed run); the views
+// stay valid after later calls. Decoding errors panic, in Iter or in the
+// Next that reaches the corrupt frame: a run that fails to decode is a
+// corrupted simulation artifact, not a recoverable condition.
+func (r *Run) Iter() Iterator {
+	return &runIter{c: r.cursor()}
+}
+
+// runIter is the lazy Iterator behind Run.Iter.
+type runIter struct {
+	c frameCursor
+}
+
+// Next implements Iterator.
+func (it *runIter) Next() (Pair, bool) {
+	p, ok, err := it.c.next()
+	if err != nil {
+		panic(err)
+	}
+	return p, ok
+}
+
+// MergeRuns merges several runs into one. The merge streams from the runs'
+// frames into a single blob sized up front from its inputs (the record
+// counts and frame bytes of the decoded runs), so it allocates per run,
+// not per pair. The result is byte-identical to NewRun over the drained
+// merge; like NewRun it panics if the merged pairs are not sorted, which
+// happens only when an input run is.
 func MergeRuns(runs []*Run, compress bool) *Run {
 	iters := make([]Iterator, len(runs))
+	var records uint64
+	var frames int
 	for i, r := range runs {
-		iters[i] = r.Iter()
+		c := r.cursor()
+		records += c.count
+		frames += len(c.blob) - c.off
+		iters[i] = &runIter{c: c}
 	}
-	return NewRun(Drain(Merge(iters...)), compress)
+	blob := binary.AppendUvarint(make([]byte, 0, uvarintLen(records)+frames), records)
+	var raw int64
+	var prev Pair
+	m := Merge(iters...)
+	for n := 0; ; n++ {
+		p, ok := m.Next()
+		if !ok {
+			break
+		}
+		if n > 0 && prev.Compare(p) > 0 {
+			panic("kv: MergeRuns on unsorted runs")
+		}
+		blob = appendFrame(blob, p)
+		raw += p.Size()
+		prev = p
+	}
+	if compress {
+		blob = Deflate(blob)
+	}
+	return &Run{blob: blob, Records: int(records), RawBytes: raw, Compressed: compress}
 }

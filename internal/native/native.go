@@ -26,10 +26,14 @@ import (
 // Config tunes the native pipeline. The names mirror the paper's
 // Configuration API where they apply to a single-host run.
 type Config struct {
-	// KernelWorkers is the map kernel worker pool size (0 = GOMAXPROCS),
-	// the analog of the OpenCL global size on the CPU device.
+	// KernelWorkers is the node's worker width (0 = GOMAXPROCS): the map
+	// kernel pool size, the analog of the OpenCL global size on the CPU
+	// device, and also how many partitions the merge and reduce phases
+	// process at once, since every core is free once the map phase ends.
 	KernelWorkers int
-	// PartitionThreads is N: concurrent partitioner workers.
+	// PartitionThreads is N: concurrent partitioner workers, which also
+	// sort and serialize each chunk's runs (0 = KernelWorkers; partition
+	// and sort cost several times the batch kernels' busy time).
 	PartitionThreads int
 	// Partitions is P: intermediate partitions (reduce parallelism).
 	Partitions int
@@ -47,11 +51,12 @@ type Config struct {
 	CacheThreshold int64
 	// MergeFanIn is the most cached runs a partition may hand directly to
 	// its reducer; only partitions holding more are compacted in the merge
-	// phase. The reducer's k-way merge visits each record once regardless
-	// of fan-in, so compacting small run counts is pure extra work — a full
-	// serialize/deserialize pass the reduce merge repeats anyway. 0 means
-	// the default (32); 1 restores the historical compact-everything
-	// behavior.
+	// phase, KernelWorkers partitions at a time, each streamed from its
+	// runs' encoded frames into one pre-sized run (kv.MergeRuns). The
+	// reducer's k-way merge visits each record once regardless of fan-in,
+	// so compacting small run counts is pure extra work — a full
+	// decode/encode pass the reduce merge repeats anyway. 0 means the
+	// default (32); 1 restores the historical compact-everything behavior.
 	MergeFanIn int
 	// SpillDir receives spill files (default os.TempDir()).
 	SpillDir string
@@ -70,7 +75,7 @@ func (c Config) withDefaults() Config {
 		c.KernelWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.PartitionThreads <= 0 {
-		c.PartitionThreads = max(1, runtime.GOMAXPROCS(0)/2)
+		c.PartitionThreads = c.KernelWorkers
 	}
 	if c.Partitions <= 0 {
 		c.Partitions = max(1, runtime.GOMAXPROCS(0))
@@ -219,7 +224,8 @@ func Run(app *core.App, blocks [][]byte, cfg Config) (*Result, error) {
 
 	// ---- Merge phase: compact every partition for cheap reduce fan-in. ----
 	mergeStart := time.Now()
-	if err := store.compactAll(cfg.PartitionThreads); err != nil {
+	// The map phase is over, so every core is free for compaction.
+	if err := store.compactAll(cfg.KernelWorkers); err != nil {
 		return nil, err
 	}
 	res.MergeDelay = time.Since(mergeStart)
